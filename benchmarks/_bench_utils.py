@@ -23,16 +23,45 @@ SMOKE_DIR = BENCH_DIR / ".smoke"
 #: 2 — every summary carries ``schema_version`` plus a ``host``
 #:     fingerprint (PR 5), so numbers from different machines are
 #:     never compared as if they came from one box.
-SCHEMA_VERSION = 2
+#: 3 — the host fingerprint also names the BLAS vendor and its thread
+#:     count, which decide conv/matmul speed as much as the cores do.
+SCHEMA_VERSION = 3
+
+
+def _blas_threads() -> int | None:
+    """Threads of numpy's bundled OpenBLAS, read via its C API."""
+    import ctypes
+
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
 
 
 def host_fingerprint() -> dict:
     """A small, stable description of the measuring host."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     return {
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),
+        "blas": blas.get("name"),
+        "blas_threads": _blas_threads(),
     }
 
 

@@ -2,9 +2,10 @@
 
 The serving stack (PR 9) turns the episode engine into a shared
 online service: many concurrent clients submit zone checks, the
-``ServeBroker`` micro-batches them over a short admission window, and
-each admitted wave runs as one joint engine pass.  This bench measures
-the operational story the README's Serving section tells:
+``ServeBroker`` batches whatever is queued whenever its wave thread
+comes free (no batching timer), and each admitted wave runs as one
+joint engine pass.  This bench measures the operational story the
+README's Serving section tells:
 
 * **capacity** — closed-loop checks/sec through the broker (each
   round stacks a full wave, so this is the engine's joint-pass
@@ -132,8 +133,7 @@ async def _open_loop(broker, frame, boxes, rate_cps, total):
 
 async def _overload_burst(model, config, frame, box):
     """Flood a deliberately tiny queue; return the shedding ledger."""
-    serve = ServeConfig(queue_depth=2, max_wave=2,
-                        admission_window_ms=0.0)
+    serve = ServeConfig(queue_depth=2, max_wave=2)
     async with ServeBroker(model, config=config, serve=serve,
                            rng=0) as broker:
         outcomes = await asyncio.gather(
@@ -156,9 +156,7 @@ async def _overload_burst(model, config, frame, box):
 
 async def _serve_phase(model, config, frame):
     boxes = _boxes(frame)
-    serve = ServeConfig(admission_window_ms=2.0)
-    async with ServeBroker(model, config=config, serve=serve,
-                           rng=0) as broker:
+    async with ServeBroker(model, config=config, rng=0) as broker:
         capacity_cps = await _closed_loop_capacity(broker, frame,
                                                    boxes)
         offered_cps = capacity_cps * OPEN_LOOP_UTILISATION
@@ -189,7 +187,7 @@ async def _episode_load(broker, frame, count, seed0=0):
 
 async def _fault_storm(model, config, frame):
     """Seeded worker kills under episode load: the recovery ledger."""
-    serve = ServeConfig(workers=2, admission_window_ms=2.0)
+    serve = ServeConfig(workers=2)
     engine = EngineConfig(max_respawns=8)
     async with ServeBroker(model, config=config, engine=engine,
                            serve=serve, rng=0) as broker:
@@ -227,7 +225,7 @@ async def _fault_storm(model, config, frame):
 
 async def _degraded_throughput(model, config, frame):
     """Breaker forced open: fallback-path vs honest inline serving."""
-    serve1 = ServeConfig(workers=1, admission_window_ms=2.0)
+    serve1 = ServeConfig(workers=1)
     async with ServeBroker(model, config=config, serve=serve1,
                            rng=0) as broker:
         base, base_wall = await _episode_load(
@@ -235,8 +233,7 @@ async def _degraded_throughput(model, config, frame):
     assert all(not isinstance(o, BaseException) for o in base)
 
     serve2 = ServeConfig(workers=2, breaker_threshold=1,
-                         breaker_cooldown_s=600.0,
-                         admission_window_ms=2.0)
+                         breaker_cooldown_s=600.0)
     broker = ServeBroker(model, config=config,
                          engine=EngineConfig(max_respawns=0),
                          serve=serve2, rng=0)

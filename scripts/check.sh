@@ -23,6 +23,12 @@ echo "== tier-1 tests =="
 python -m pytest tests -q -x
 
 echo
+echo "== benchmark rules (perfbench) =="
+# The repository benchmark's own tests (input determinism, span
+# accounting, metric specs); tier-1 does not collect perfbench/.
+python -m pytest perfbench -q
+
+echo
 echo "== tier-1 smoke under the winograd conv engine =="
 # The winograd engine is tolerance-certified, not bit-for-bit; the
 # certification harness plus the conv-adjacent suites must also hold

@@ -9,10 +9,9 @@ runs N such episodes through the segment -> select -> monitor -> decide
 stages with cross-episode batching:
 
 * **Core segmentation** of every frame of every episode runs as one
-  chunked batched forward per frame shape (the ``run_batch`` trick
-  extended across streams).  Convolution and friends are
-  batch-element-deterministic, so per-frame labels are bit-for-bit
-  those of single-frame calls.
+  chunked batched forward per frame shape, across streams.
+  Convolution and friends are batch-element-deterministic, so
+  per-frame labels are bit-for-bit those of single-frame calls.
 * **Monitoring** defaults to ``exact`` mode: each episode keeps its own
   seeded monitor RNG stream and its checks run in frame order, so with
   ``workers=1`` the engine's results are bit-for-bit identical to
@@ -560,7 +559,7 @@ class EpisodeScheduler:
         ]
 
     def run_frames(self, frames, seed=0, name="") -> list[PipelineResult]:
-        """One episode over ``frames``; the ``run_batch`` replacement.
+        """One episode over ``frames`` with batched core segmentation.
 
         With the default exact mode this reproduces
         ``LandingPipeline(model, config, rng=seed)`` running the frames

@@ -6,10 +6,11 @@ streams inside one process.  This package is the *serving* layer the
 ROADMAP's "millions of users" north star asks for:
 
 * :class:`ServeBroker` — an asyncio front-end accepting zone-check and
-  episode-step requests from many concurrent clients, micro-batching
-  them over a short admission window and feeding each admitted wave
-  into one shared :class:`repro.core.engine.EpisodeScheduler` as a
-  single joint pass.  Backpressure is explicit: the admission queue is
+  episode-step requests from many concurrent clients, batching them
+  work-conservingly — whatever is queued when the wave thread comes
+  free becomes the next wave, with no batching timer — and feeding
+  each admitted wave into one shared
+  :class:`repro.core.engine.EpisodeScheduler` as a single joint pass.  Backpressure is explicit: the admission queue is
   bounded and an over-capacity request is *shed with a typed rejection*
   (:class:`AdmissionRejected`) — a safety check is never silently
   dropped or partially answered.

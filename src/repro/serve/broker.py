@@ -3,9 +3,11 @@
 :class:`ServeBroker` is the front door of the serving layer.  Clients
 submit zone checks (``await broker.check_zone(image, box)``) or whole
 episode steps (``await broker.run_episode(frames, seed=...)``) from any
-number of concurrent coroutines; the broker micro-batches everything
-that arrives within a short **admission window** (a few milliseconds)
-into one *wave* and feeds the wave to a single shared
+number of concurrent coroutines.  Admission is **work-conserving**:
+the moment the wave thread is free, everything queued (up to
+``ServeConfig.max_wave``) becomes one *wave*, with no batching timer —
+requests that arrive while a wave runs form the next one.  Each wave
+feeds a single shared
 :class:`repro.core.engine.EpisodeScheduler` — zone checks as one
 jointly seeded stacked pass (:meth:`EpisodeScheduler.check_zones_wave`),
 episode steps as one ``scheduler.run`` — so concurrency buys stacked
@@ -124,13 +126,6 @@ class ServeConfig:
 
     Attributes
     ----------
-    admission_window_ms:
-        How long (milliseconds) the broker keeps collecting requests
-        into the current wave after the first one arrives.  Default
-        2.0 — a couple of milliseconds buys most of the stacking win
-        (a stacked pass amortises per-forward overhead) while staying
-        far below a frame interval; ``0`` serves every request the
-        moment it is dequeued (no batching, lowest latency).
     queue_depth:
         Bound of the admission queue — the *explicit backpressure*
         knob.  A request arriving while ``queue_depth`` requests are
@@ -139,8 +134,8 @@ class ServeConfig:
         of queueing unboundedly or being dropped silently.  Default
         64.
     max_wave:
-        Cap on requests admitted into one wave, whatever the window
-        collects.  Default 32 — matches the joint pass's measured
+        Cap on requests admitted into one wave, however many are
+        queued.  Default 32 — matches the joint pass's measured
         chunk sweet spot (``EngineConfig.joint_max_batch``); larger
         waves only grow per-wave latency without stacking better.
     monitor_batching:
@@ -177,7 +172,6 @@ class ServeConfig:
         probe is allowed back onto the pool path.  Default 30.
     """
 
-    admission_window_ms: float = 2.0
     queue_depth: int = 64
     max_wave: int = 32
     monitor_batching: str = "joint"
@@ -187,10 +181,6 @@ class ServeConfig:
     breaker_cooldown_s: float = 30.0
 
     def __post_init__(self):
-        if self.admission_window_ms < 0:
-            raise ValueError(
-                f"admission_window_ms must be >= 0, "
-                f"got {self.admission_window_ms}")
         check_positive("queue_depth", self.queue_depth)
         check_positive("max_wave", self.max_wave)
         if self.monitor_batching not in _MONITOR_BATCHING:
@@ -245,7 +235,7 @@ class _Pending:
 
 
 class ServeBroker:
-    """Micro-batching admission broker over one episode scheduler.
+    """Work-conserving batching broker over one episode scheduler.
 
     Usage::
 
@@ -385,43 +375,40 @@ class ServeBroker:
 
     # -- admission loop ------------------------------------------------
     async def _run(self) -> None:
-        window_s = self.serve.admission_window_ms / 1000.0
-        loop = asyncio.get_running_loop()
-        draining = False
-        while not draining:
+        """Work-conserving admission: no timer, no idle wave thread.
+
+        Block for the first request, yield once so submitters that are
+        already runnable can enqueue beside it, then take whatever is
+        queued, up to ``max_wave``.  Requests that arrive while a wave
+        runs queue up and form the next one, so a busy wave thread is
+        the only batching window.
+        """
+        item = None
+        while item is not _SHUTDOWN:
             item = await self._queue.get()
             if item is _SHUTDOWN:
                 break
+            await asyncio.sleep(0)
             wave = [item]
-            deadline = loop.time() + window_s
             while len(wave) < self.serve.max_wave:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 remaining)
-                except asyncio.TimeoutError:
+                    item = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
                     break
-                if nxt is _SHUTDOWN:
-                    draining = True
+                if item is _SHUTDOWN:
                     break
-                wave.append(nxt)
+                wave.append(item)
             await self._serve_wave(wave)
         # Shutdown sentinel seen: serve whatever was already admitted —
         # an admitted safety check is never dropped.
         leftovers = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
             if item is not _SHUTDOWN:
                 leftovers.append(item)
-        while leftovers:
-            wave = leftovers[:self.serve.max_wave]
-            leftovers = leftovers[self.serve.max_wave:]
-            await self._serve_wave(wave)
+        for start in range(0, len(leftovers), self.serve.max_wave):
+            await self._serve_wave(
+                leftovers[start:start + self.serve.max_wave])
 
     async def _serve_wave(self, wave: list) -> None:
         """Serve one admitted wave: zones stacked, episodes batched.

@@ -96,8 +96,7 @@ async def _probe_broker(system, serve: ServeConfig, rng) -> dict:
     # Overload burst against a tiny queue: backpressure must shed with
     # typed rejections and every request must be accounted for.
     burst = ServeBroker(system.model, config=system.pipeline_config(),
-                        serve=ServeConfig(queue_depth=1, max_wave=1,
-                                          admission_window_ms=0.0),
+                        serve=ServeConfig(queue_depth=1, max_wave=1),
                         rng=rng)
     async with burst:
         outcomes = await asyncio.gather(
@@ -169,8 +168,7 @@ def _fault_drill(system) -> dict:
         and drill["bit_for_bit"])
 
     async def degraded_round_trip() -> dict:
-        serve = ServeConfig(workers=2, breaker_threshold=1,
-                            admission_window_ms=0.0)
+        serve = ServeConfig(workers=2, breaker_threshold=1)
         broker = ServeBroker(system.model, config=config,
                              engine=EngineConfig(max_respawns=0),
                              serve=serve)

@@ -63,41 +63,6 @@ class TestExactMode:
             for a, b in zip(engine_ep.results, ref_ep):
                 _assert_results_equal(a, b)
 
-    def test_run_frames_matches_run_batch(self, tiny_system):
-        """The deprecated run_batch and its engine replacement agree."""
-        images = [s.image for s in tiny_system.test_samples[:3]]
-        with pytest.deprecated_call():
-            batched = tiny_system.make_pipeline(rng=0).run_batch(images)
-        scheduler = tiny_system.make_scheduler()
-        streamed = scheduler.run_frames(images, seed=0)
-        assert len(streamed) == len(batched)
-        for a, b in zip(streamed, batched):
-            _assert_results_equal(a, b)
-
-    def test_run_batch_deprecation_contract(self, tiny_system):
-        """run_batch is deprecated but pinned: it must warn with a
-        message pointing at the replacement AND stay bit-identical to
-        both ``EpisodeScheduler.run_frames`` and the per-frame
-        ``LandingPipeline.run`` loop on the same seed.  This is the
-        regression net under the eventual removal."""
-        images = [s.image for s in tiny_system.test_samples[:3]]
-        with pytest.warns(DeprecationWarning,
-                          match="EpisodeScheduler.run_frames"):
-            batched = tiny_system.make_pipeline(rng=0).run_batch(images)
-        # vs the engine replacement.
-        streamed = tiny_system.make_scheduler().run_frames(images,
-                                                           seed=0)
-        # vs the sequential facade.
-        loop_pipeline = tiny_system.make_pipeline(rng=0)
-        looped = [loop_pipeline.run(im) for im in images]
-        for a, b, c in zip(batched, streamed, looped):
-            _assert_results_equal(a, b)
-            _assert_results_equal(a, c)
-        # Empty input short-circuits without warning noise semantics
-        # changing shape.
-        with pytest.deprecated_call():
-            assert tiny_system.make_pipeline(rng=0).run_batch([]) == []
-
     def test_mixed_camera_shapes_in_one_run(self, tiny_system):
         specs = scenario_sweep("day_nominal", "sunset_ood")
         episodes = [

@@ -171,14 +171,11 @@ class TestTrainedSystemFixture:
         assert records[0]["crop_w"] == stride
         assert records[0]["mean_s"] > 0.0
 
-    def test_run_batch_matches_run(self, tiny_system):
-        """The (deprecated) batched episode alias still equals
-        frame-by-frame runs — the contract its engine replacement
-        inherits (see tests/core/test_episode_engine.py)."""
+    def test_run_frames_matches_run(self, tiny_system):
+        """One batched-segmentation episode equals frame-by-frame runs
+        on the same seed (see tests/core/test_episode_engine.py)."""
         images = [s.image for s in tiny_system.test_samples[:2]]
-        batch_pipeline = tiny_system.make_pipeline(rng=0)
-        with pytest.deprecated_call():
-            batched = batch_pipeline.run_batch(images)
+        batched = tiny_system.make_scheduler().run_frames(images, seed=0)
         loop_pipeline = tiny_system.make_pipeline(rng=0)
         looped = [loop_pipeline.run(image) for image in images]
         assert len(batched) == len(looped)

@@ -170,8 +170,7 @@ class TestEnvWorkersIntegration:
         if not fork_available():
             pytest.skip("persistent pool requires fork")
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
-        serve = ServeConfig(breaker_threshold=1,
-                            admission_window_ms=0.0)
+        serve = ServeConfig(breaker_threshold=1)
         assert serve.workers is None  # env fills it at engine_config
         frame = tiny_system.test_samples[0].image
 

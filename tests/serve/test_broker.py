@@ -1,5 +1,10 @@
 """ServeBroker: admission batching, typed backpressure, determinism.
 
+Admission is work-conserving: a burst of up to ``max_wave`` requests
+submitted together (``asyncio.gather``) is served as one wave, which is
+the rule the multi-request tests below lean on.  The finer wave-shape
+semantics are pinned against a stub scheduler in ``test_admission.py``.
+
 The backpressure contract under test: a safety check is either served
 (its future resolves with a verdict/result) or shed at admission with
 a *typed* :class:`AdmissionRejected` — never silently dropped, never
@@ -36,8 +41,6 @@ def _assert_verdicts_equal(a, b):
 
 class TestServeConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="admission_window_ms"):
-            ServeConfig(admission_window_ms=-1.0)
         with pytest.raises(ValueError, match="queue_depth"):
             ServeConfig(queue_depth=0)
         with pytest.raises(ValueError, match="max_wave"):
@@ -81,7 +84,8 @@ class TestServeConfig:
 
 class TestZoneChecks:
     def test_wave_matches_direct_scheduler(self, tiny_system):
-        """An admitted wave == one check_zones_wave call, verbatim."""
+        """A gathered burst is one wave == one check_zones_wave call,
+        verbatim."""
         frame = tiny_system.test_samples[0].image
         boxes = _boxes(frame, 6)
         config = tiny_system.pipeline_config()
@@ -92,15 +96,15 @@ class TestZoneChecks:
             [(frame, box) for box in boxes])
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0,
-                                max_wave=len(boxes))
+            serve = ServeConfig(max_wave=len(boxes))
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve, rng=0) as broker:
                 got = await broker.check_zones(frame, boxes)
             return got, broker.stats
 
         got, stats = asyncio.run(scenario())
-        assert stats["max_wave"] == len(boxes)  # one wave, all stacked
+        assert stats["waves"] == 1  # one wave, all stacked
+        assert stats["max_wave"] == len(boxes)
         assert stats["zone_checks"] == len(boxes)
         for a, b in zip(got, expected):
             _assert_verdicts_equal(a, b)
@@ -113,8 +117,7 @@ class TestZoneChecks:
 
         def run_trace():
             async def scenario():
-                serve = ServeConfig(admission_window_ms=200.0,
-                                    max_wave=4)
+                serve = ServeConfig(max_wave=4)
                 async with ServeBroker(tiny_system.model,
                                        config=config, serve=serve,
                                        rng=7) as broker:
@@ -196,8 +199,7 @@ class TestBackpressure:
         total = 12
 
         async def scenario():
-            serve = ServeConfig(queue_depth=2, max_wave=1,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(queue_depth=2, max_wave=1)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 outcomes = await asyncio.gather(
@@ -227,7 +229,7 @@ class TestBackpressure:
         config = tiny_system.pipeline_config()
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=500.0, max_wave=2)
+            serve = ServeConfig(max_wave=2)
             broker = await ServeBroker(tiny_system.model,
                                        config=config,
                                        serve=serve).start()
@@ -243,6 +245,8 @@ class TestBackpressure:
         assert all(hasattr(v, "accepted") for v in verdicts)
         assert stats["zone_checks"] == len(boxes)
         assert stats["admitted"] == len(boxes)
+        assert stats["waves"] == 2  # two bursts of max_wave
+        assert stats["max_wave"] == 2
 
     def test_rejects_after_shutdown_with_typed_reason(self, tiny_system):
         frame = tiny_system.test_samples[0].image
@@ -282,9 +286,8 @@ class TestBackpressure:
         bad_frame = np.zeros((7, 5, 5), dtype=np.float32)  # not CHW
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=100.0)
-            async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve) as broker:
+            async with ServeBroker(tiny_system.model,
+                                   config=config) as broker:
                 outcomes = await asyncio.gather(
                     *(broker.check_zone(bad_frame, Box(0, 0, 4, 4))
                       for _ in range(3)),
@@ -296,4 +299,6 @@ class TestBackpressure:
         assert all(isinstance(o, Exception) and
                    not isinstance(o, AdmissionRejected)
                    for o in outcomes)
-        assert stats["wave_errors"] >= 1
+        # The gathered burst is one wave, so one error fails all three.
+        assert stats["waves"] == 1
+        assert stats["wave_errors"] == 1

@@ -215,8 +215,7 @@ class TestDeadlines:
         box = Box(2, 2, 10, 10)
 
         async def scenario():
-            serve = ServeConfig(deadline_ms=200.0,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(deadline_ms=200.0)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 original = broker.scheduler.check_zones_wave
@@ -247,8 +246,7 @@ class TestDeadlines:
         frame = tiny_system.test_samples[0].image
 
         async def scenario():
-            serve = ServeConfig(workers=2, deadline_ms=300.0,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(workers=2, deadline_ms=300.0)
             broker = ServeBroker(tiny_system.model, config=config,
                                  serve=serve)
             assert broker.scheduler.engine.deadline_ms == 300.0
@@ -304,8 +302,7 @@ class TestDegradedMode:
             [_request(frame, seed) for seed in (0, 1)])
 
         async def scenario():
-            serve = ServeConfig(workers=2, breaker_threshold=1,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(workers=2, breaker_threshold=1)
             broker = ServeBroker(tiny_system.model, config=config,
                                  engine=EngineConfig(max_respawns=0),
                                  serve=serve)
@@ -341,8 +338,7 @@ class TestDegradedMode:
 
         async def scenario():
             serve = ServeConfig(workers=2, breaker_threshold=1,
-                                breaker_cooldown_s=0.2,
-                                admission_window_ms=0.0)
+                                breaker_cooldown_s=0.2)
             broker = ServeBroker(tiny_system.model, config=config,
                                  engine=EngineConfig(max_respawns=0),
                                  serve=serve)
@@ -374,7 +370,7 @@ class TestDegradedMode:
             [_request(frame, seed) for seed in seeds])
 
         async def scenario():
-            serve = ServeConfig(workers=2, admission_window_ms=5.0)
+            serve = ServeConfig(workers=2)
             broker = ServeBroker(tiny_system.model, config=config,
                                  engine=EngineConfig(max_respawns=8),
                                  serve=serve)
