@@ -29,28 +29,9 @@ echo "== benchmark rules (perfbench) =="
 python -m pytest perfbench -q
 
 echo
-echo "== tier-1 smoke under the winograd conv engine =="
-# The winograd engine is tolerance-certified, not bit-for-bit; the
-# certification harness plus the conv-adjacent suites must also hold
-# with winograd as the process-default engine (REPRO_CONV_ENGINE is
-# honoured by nn.functional.reset_conv_engine at import).  Smoke form:
-# the suites that actually exercise convolution end to end.
-REPRO_CONV_ENGINE=winograd python -m pytest \
-    tests/nn tests/segmentation tests/core tests/integration -q -x
-
-echo
-echo "== tier-1 smoke under the int8 conv engine =="
-# The quantised engine's envelope is ~1e-2 (vs winograd's ~1e-5), so
-# this stage is the strongest ambient-engine soak: every conv-adjacent
-# suite — the decision-level certification harness included — must
-# hold with int8 as the process-default engine.
-REPRO_CONV_ENGINE=int8 python -m pytest \
-    tests/nn tests/segmentation tests/core tests/integration -q -x
-
-echo
 echo "== tier-1 monitor suites under the shared-context engine =="
 # Shared-context monitoring (union-crop planning + temporal stem
-# reuse) is the second non-bit-exact mode; REPRO_MONITOR_SHARED=1
+# reuse) is the first non-bit-exact mode; REPRO_MONITOR_SHARED=1
 # reroutes every joint monitoring path through the union planner
 # (repro.core.monitor honours it per call), so the monitor-touching
 # suites — certification harness included — must also hold with the
@@ -60,7 +41,7 @@ REPRO_MONITOR_SHARED=1 python -m pytest \
 
 echo
 echo "== tier-1 monitor suites under the adaptive early-exit engine =="
-# Adaptive-T early-exit monitoring is the third non-bit-exact mode:
+# Adaptive-T early-exit monitoring is the second non-bit-exact mode:
 # REPRO_MONITOR_ADAPTIVE=1 turns the certified sequential stopping
 # rule on for every monitoring path (repro.core.monitor honours it per
 # call), so the monitor-touching suites — certification harness

@@ -23,7 +23,7 @@ Shipped rules (``python -m repro.analysis --list-rules``):
   documented allowlist for the deliberate float64 islands.
 * **Engine-mode hygiene** (:mod:`repro.analysis.checkers.engine_mode`)
   — process-global engine state (``set_conv_engine``,
-  ``REPRO_CONV_ENGINE``, ``REPRO_MONITOR_SHARED``) must always be
+  ``REPRO_MONITOR_SHARED``, ``REPRO_MONITOR_ADAPTIVE``) must always be
   restored; environment reads stay at their sanctioned sites.
 * **Fork-pool purity** (:mod:`repro.analysis.checkers.fork_purity`) —
   functions dispatched to ``EpisodeScheduler``'s fork pool must not

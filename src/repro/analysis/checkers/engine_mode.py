@@ -1,20 +1,21 @@
 """Engine-mode hygiene: process-global engine state is always restored.
 
-``set_conv_engine`` is process-global by design, and four environment
-variables (``REPRO_CONV_ENGINE``, ``REPRO_MONITOR_SHARED``,
-``REPRO_MONITOR_ADAPTIVE``, ``REPRO_SERVE_WORKERS``) reroute whole
-engine families at run time — that is how ``scripts/check.sh`` re-runs
-the tier-1 suites under the winograd, shared-context, and adaptive
-early-exit engines.  ``REPRO_MONITOR_ADAPTIVE`` is sanctioned for the
-same reason the shared toggle is: the certification rerun needs a
-process-default switch that flips *every* joint monitoring call
-without editing each ``MonitorConfig``, and the read lives at the
-single documented site in ``core/monitor.py`` (``adaptive_default``),
-consulted per call so tests can monkeypatch it.
+``set_conv_engine`` is process-global by design, and three environment
+variables (``REPRO_MONITOR_SHARED``, ``REPRO_MONITOR_ADAPTIVE``,
+``REPRO_SERVE_WORKERS``) reroute whole engine families at run time —
+that is how ``scripts/check.sh`` re-runs the tier-1 suites under the
+shared-context and adaptive early-exit engines.  The conv engine has
+no environment toggle: its mode is set in code only.
+``REPRO_MONITOR_ADAPTIVE`` is sanctioned for the same reason the shared
+toggle is: the certification rerun needs a process-default switch that
+flips *every* joint monitoring call without editing each
+``MonitorConfig``, and the read lives at the single documented site in
+``core/monitor.py`` (``adaptive_default``), consulted per call so tests
+can monkeypatch it.
 ``REPRO_SERVE_WORKERS`` is sanctioned as the serving layer's
 deployment-time sizing toggle: the broker process is launched by an
 operator, not constructed in code, so the worker count needs a
-process-default the way the conv engine does — the read lives at the
+process-default the way the monitor toggles do — the read lives at the
 single documented site in ``serve/broker.py``
 (``serve_workers_default``), consulted only when
 ``ServeConfig.workers`` is unset so explicit configuration always
@@ -27,11 +28,10 @@ Three rules:
 
 * ``ENG-ENV-READ`` — inside ``src/repro``, ``os.environ``/
   ``os.getenv`` may only be consulted at the sanctioned sites (the
-  conv-engine default in ``nn/functional.py``, the shared-context and
-  adaptive early-exit toggles in ``core/monitor.py``, the
-  trained-system cache root in ``eval/harness.py``, the strict-seed
-  switch in ``utils/rng.py``, and the serve worker-count default in
-  ``serve/broker.py``).
+  shared-context and adaptive early-exit toggles in
+  ``core/monitor.py``, the trained-system cache root in
+  ``eval/harness.py``, the strict-seed switch in ``utils/rng.py``, and
+  the serve worker-count default in ``serve/broker.py``).
 * ``ENG-ENV-WRITE`` — nobody mutates ``os.environ`` directly; tests
   use ``monkeypatch.setenv`` (auto-restoring) and subprocesses get an
   explicit ``env=`` mapping.
@@ -59,7 +59,6 @@ from repro.analysis.base import (
 
 #: The sanctioned ``os.environ`` readers inside ``src/repro``.
 SANCTIONED_ENV_READERS = frozenset({
-    "src/repro/nn/functional.py",   # REPRO_CONV_ENGINE default mode
     "src/repro/core/monitor.py",    # REPRO_MONITOR_SHARED +
                                     # REPRO_MONITOR_ADAPTIVE toggles
     "src/repro/eval/harness.py",    # REPRO_CACHE weight-cache root
@@ -119,16 +118,14 @@ class EngineModeChecker(BaseChecker):
              "os.environ consulted outside the sanctioned sites in "
              "src/repro",
              contract="engine-mode certification reruns "
-                      "(REPRO_CONV_ENGINE / REPRO_MONITOR_SHARED / "
-                      "REPRO_MONITOR_ADAPTIVE, PRs 4-7)"),
+                      "(REPRO_MONITOR_SHARED / REPRO_MONITOR_ADAPTIVE)"),
         Rule("ENG-ENV-WRITE",
              "direct os.environ mutation (leaks process-wide)",
              contract="engine-mode certification reruns "
-                      "(REPRO_CONV_ENGINE / REPRO_MONITOR_SHARED / "
-                      "REPRO_MONITOR_ADAPTIVE, PRs 4-7)"),
+                      "(REPRO_MONITOR_SHARED / REPRO_MONITOR_ADAPTIVE)"),
         Rule("ENG-SET-NO-RESTORE",
              "set_conv_engine without a visible restore",
-             contract="conv-engine accuracy contracts (PRs 2 & 4)"),
+             contract="conv-engine accuracy contract (repro.nn.functional)"),
     )
 
     def check(self, ctx: CheckContext):

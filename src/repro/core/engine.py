@@ -56,8 +56,7 @@ stages with cross-episode batching:
   only the stochastic suffix is recomputed).  The fastest monitoring
   path on overlap-heavy fleets; certified against the exact engine by
   ``tests/integration/test_shared_context_certification.py`` (moment
-  envelope + zero verdict/decision flips on the seeded presets,
-  following the PR 4 winograd template).
+  envelope + zero verdict/decision flips on the seeded presets).
 
 * **Adaptive early-exit monitoring** (``MonitorConfig.adaptive`` or
   ``REPRO_MONITOR_ADAPTIVE=1``) composes with the joint and shared
@@ -99,7 +98,6 @@ from repro.core.pipeline import (
     PipelineResult,
 )
 from repro.nn.functional import (
-    CONV_ENGINE_LAYOUTS,
     CONV_ENGINE_MODES,
     get_conv_engine,
     set_conv_engine,
@@ -139,8 +137,7 @@ class EngineConfig:
         overlap (see the module docstring and
         ``benchmarks/bench_episode_engine.py``).  The
         ``REPRO_MONITOR_SHARED=1`` environment toggle upgrades
-        ``"joint"`` to ``"shared"`` at run time (mirroring
-        ``REPRO_CONV_ENGINE``).
+        ``"joint"`` to ``"shared"`` at run time.
     joint_max_batch:
         Chunk size for the joint cross-episode passes only.  Zone
         crops are much smaller than full frames, so their sweet spot
@@ -200,25 +197,14 @@ class EngineConfig:
         comparison, so reuse is bit-exact given the same window
         stream).  On by default; ``False`` recomputes every stem — the
         reference the reuse is benchmarked and tested against.
-    conv_mode / conv_layout / conv_block_kib:
+    conv_mode / conv_block_kib:
         Forwarded to :func:`repro.nn.functional.set_conv_engine` when
-        set (process-global, like that function).  ``mode="winograd"``
-        selects the F(2x2, 3x3) engine — tolerance-certified rather
-        than bit-for-bit against reference/blocked (see the accuracy
-        contracts in :mod:`repro.nn.functional` and the certification
-        harness in ``tests/nn/test_winograd_equivalence.py`` /
-        ``tests/integration/test_winograd_certification.py``).
-        ``mode="int8"`` selects the quantised engine — per-channel
-        int8 weights, dynamic per-sample activations, exact integer
-        accumulation; its own certification harness lives in
-        ``tests/nn/test_int8_equivalence.py`` /
-        ``tests/integration/test_int8_certification.py``.
-    conv_int8_min_kernel:
-        Minimum kernel footprint ``kh*kw`` the int8 engine accepts,
-        forwarded to :func:`repro.nn.functional.set_conv_engine` when
-        set.  The engine default (2) excludes 1x1 convolutions, where
-        the quantise/dequant passes dominate (measured 0.3-0.6x);
-        ``1`` opts them in, e.g. under a future integer-GEMM backend.
+        set (process-global, like that function).  ``conv_mode`` is
+        ``"blocked"`` (the engine default) or ``"reference"`` — the
+        full-im2col training path the blocked engine is certified
+        against (see the accuracy contract in
+        :mod:`repro.nn.functional` and
+        ``tests/integration/test_conv_engine_certification.py``).
     """
 
     max_batch: int = 6
@@ -232,9 +218,7 @@ class EngineConfig:
     overlap_budget: float | None = None
     temporal_reuse: bool = True
     conv_mode: str | None = None
-    conv_layout: str | None = None
     conv_block_kib: int | None = None
-    conv_int8_min_kernel: int | None = None
 
     def __post_init__(self):
         check_positive("max_batch", self.max_batch)
@@ -267,27 +251,15 @@ class EngineConfig:
             raise ValueError(
                 f"conv_mode must be one of {CONV_ENGINE_MODES}, "
                 f"got {self.conv_mode!r}")
-        if self.conv_layout is not None and \
-                self.conv_layout not in CONV_ENGINE_LAYOUTS:
-            raise ValueError(
-                f"conv_layout must be one of {CONV_ENGINE_LAYOUTS}, "
-                f"got {self.conv_layout!r}")
         if self.conv_block_kib is not None and int(self.conv_block_kib) < 1:
             raise ValueError("conv_block_kib must be >= 1")
-        if self.conv_int8_min_kernel is not None \
-                and int(self.conv_int8_min_kernel) < 1:
-            raise ValueError("conv_int8_min_kernel must be >= 1")
 
     # ------------------------------------------------------------------
     def apply_conv_engine(self) -> dict:
         """Apply the conv-engine knobs; returns the active config."""
-        if (self.conv_mode is not None or self.conv_layout is not None
-                or self.conv_block_kib is not None
-                or self.conv_int8_min_kernel is not None):
-            return set_conv_engine(
-                mode=self.conv_mode, layout=self.conv_layout,
-                block_kib=self.conv_block_kib,
-                int8_min_kernel=self.conv_int8_min_kernel)
+        if self.conv_mode is not None or self.conv_block_kib is not None:
+            return set_conv_engine(mode=self.conv_mode,
+                                   block_kib=self.conv_block_kib)
         return get_conv_engine()
 
     def effective_monitor_batching(self) -> str:

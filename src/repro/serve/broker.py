@@ -87,8 +87,8 @@ _SHUTDOWN = object()
 def serve_workers_default() -> int | None:
     """Worker count requested via ``REPRO_SERVE_WORKERS``, or None.
 
-    The serving layer's deployment-time sizing toggle (sanctioned env
-    read site, mirroring ``REPRO_CONV_ENGINE``): ``ServeConfig`` reads
+    The serving layer's deployment-time sizing toggle (a sanctioned
+    env read site, like ``REPRO_MONITOR_SHARED``): ``ServeConfig`` reads
     it only when its ``workers`` field is left unset, so explicit
     configuration always wins.
     """

@@ -24,10 +24,9 @@ def _conv_engine_isolation():
     """No conv-engine state may leak across tests.
 
     ``set_conv_engine`` is process-global by design; a test that flips
-    the mode/layout and fails before restoring it would silently change
-    what every later test measures.  Save/restore (rather than reset to
-    defaults) keeps deliberate whole-suite overrides — e.g. CI's
-    ``REPRO_CONV_ENGINE=winograd`` pass — in force.
+    the mode or block size and fails before restoring it would silently
+    change what every later test measures.  The configuration in force
+    before each test is restored after it.
     """
     saved = F.get_conv_engine()
     yield
